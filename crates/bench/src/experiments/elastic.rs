@@ -24,7 +24,7 @@ use dt_elastic::{
     HealerConfig,
 };
 use dt_model::MllmPreset;
-use dt_simengine::{SimDuration, TraceRecorder};
+use dt_simengine::{SimDuration, TempDir, TraceRecorder};
 use dt_telemetry::{names, Telemetry};
 
 use super::ablation_task;
@@ -82,11 +82,8 @@ fn blast_plan(radius: u32, healer_on: bool) -> ElasticPlan {
     plan
 }
 
-fn tempdir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dt-elastic-sweep-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("temp checkpoint dir");
-    dir
+fn tempdir(tag: &str) -> TempDir {
+    TempDir::new(&format!("dt-elastic-sweep-{tag}")).expect("temp checkpoint dir")
 }
 
 /// Run the 2×2×2 sweep plus the blast-radius × healer section.
@@ -105,7 +102,7 @@ pub fn run() -> Report {
     r.note("goodput = committed compute / wall clock; Δmfu = final epoch vs");
     r.note("pre-failure plan (0 when the cluster never shrank).");
     r.note("replan = real host time in the §4 re-orchestration search across");
-    r.note("all shrinks (the parallel search keeps this off the recovery path).");
+    r.note("all shrinks (the warm-started pruned search keeps this short).");
     r.note("radius = nodes per correlated failure domain at a fixed per-domain");
     r.note("event rate; healer = anomaly-driven preemptive checkpoint + slow-");
     r.note("spare eviction; actions = healer actions taken.");
@@ -124,7 +121,6 @@ pub fn run() -> Report {
                     &mut TraceRecorder::disabled(),
                 )
                 .expect("elastic run");
-                let _ = std::fs::remove_dir_all(&dir);
                 out.goodput.validate().expect("exact goodput accounting");
                 let mfus = out.epoch_mfus();
                 let delta = mfus.last().copied().unwrap_or(0.0) - mfus.first().copied().unwrap_or(0.0);
@@ -169,7 +165,6 @@ pub fn run() -> Report {
                 &dt_telemetry::FlightLog::disabled(),
             )
             .expect("elastic blast run");
-            let _ = std::fs::remove_dir_all(&dir);
             out.goodput.validate().expect("exact goodput accounting");
             let mfus = out.epoch_mfus();
             let delta = mfus.last().copied().unwrap_or(0.0) - mfus.first().copied().unwrap_or(0.0);
@@ -220,7 +215,6 @@ pub fn run_traced(path: &str) -> Report {
     let mut rec = TraceRecorder::enabled();
     let out = run_elastic_with(&task, CELL_ITERS, &plan, initial, &dir, &mut rec)
         .expect("elastic run");
-    let _ = std::fs::remove_dir_all(&dir);
     rec.validate_nesting().expect("elastic spans nest cleanly");
     if let Err(e) = rec.write_chrome_trace(std::path::Path::new(path)) {
         eprintln!("error: cannot write trace to '{path}': {e}");

@@ -15,8 +15,8 @@ use dt_data::{DataConfig, ResolutionMode};
 use dt_elastic::{run_elastic_instrumented, CheckpointPolicy, ElasticPlan};
 use dt_model::MllmPreset;
 use dt_orchestrator::{Orchestrator, PerfModel, Profiler};
-use dt_preprocess::{DisaggregatedFeeder, Preprocess};
-use dt_simengine::{SimDuration, TraceRecorder};
+use dt_preprocess::{Consumer, Preprocess};
+use dt_simengine::{SimDuration, TempDir, TraceRecorder};
 use dt_telemetry::{MetricValue, Snapshot, Telemetry};
 
 /// Everything one metered run produces.
@@ -77,7 +77,10 @@ pub fn default_metrics_run() -> MetricsRun {
         .telemetry(tel.clone())
         .spawn()
         .expect("spawn producer");
-    let feeder = DisaggregatedFeeder::connect_instrumented(producer.addr(), 4, 2, None, tel.clone())
+    let feeder = Consumer::builder(&[producer.addr()])
+        .batch(4)
+        .telemetry(tel.clone())
+        .connect()
         .expect("connect feeder");
     for _ in 0..2 {
         let _ = feeder.next_batch().expect("fetch batch");
@@ -112,9 +115,7 @@ pub fn default_metrics_run() -> MetricsRun {
         precursor_stall: SimDuration::ZERO,
         spare_slowdown: 1.0,
     };
-    let dir = std::env::temp_dir().join(format!("dt-metricsbench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir");
+    let dir = TempDir::new("dt-metricsbench").expect("mkdir");
     let initial = task.plan(SystemKind::DistTrain).expect("plan");
     run_elastic_instrumented(
         &task,
@@ -127,7 +128,6 @@ pub fn default_metrics_run() -> MetricsRun {
         &dt_telemetry::FlightLog::disabled(),
     )
     .expect("elastic run");
-    let _ = std::fs::remove_dir_all(&dir);
 
     run
 }

@@ -2,17 +2,15 @@
 //! and name the valid flags, and `--json` + `--metrics` compose in one
 //! invocation, producing all three artifacts.
 
+use dt_simengine::TempDir;
 use std::process::Command;
 
 fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
 }
 
-fn tempdir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dt-repro-cli-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn tempdir(tag: &str) -> TempDir {
+    TempDir::new(&format!("dt-repro-cli-{tag}")).unwrap()
 }
 
 #[test]
@@ -80,5 +78,4 @@ fn json_and_metrics_compose_in_one_run() {
     let tables = std::fs::read_to_string(&json).unwrap();
     let tables = dt_simengine::Json::parse(&tables).expect("tables archive is valid JSON");
     assert!(tables.as_array().is_some_and(|t| t.len() == 1));
-    std::fs::remove_dir_all(&dir).unwrap();
 }

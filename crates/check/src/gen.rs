@@ -11,7 +11,8 @@
 use dt_data::{DataConfig, SyntheticLaion, TrainSample};
 use dt_orchestrator::formulate::ProblemSpec;
 use dt_pipeline::Workload;
-use dt_preprocess::wire::{write_frame, write_json, BatchHeader, Request};
+use dt_preprocess::frame::{write_frame, write_json};
+use dt_preprocess::wire::{BatchHeader, Request};
 use dt_simengine::{DetRng, SimDuration};
 
 /// A batch of `n` LAION-skewed multimodal samples.
@@ -43,8 +44,8 @@ pub fn heterogeneous_workload(rng: &mut DetRng, p: usize, l: usize) -> Workload 
 }
 
 /// A random planner problem spec over the cluster shapes the evaluation
-/// sweeps (kept small enough that the full serial/parallel differential
-/// stays fast under `--seeds 200`).
+/// sweeps (kept small enough that the exhaustive serial reference stays
+/// fast under `--seeds 200`).
 pub fn problem_spec(rng: &mut DetRng) -> ProblemSpec {
     ProblemSpec {
         total_gpus: 8 * *rng.pick(&[1u32, 2, 3, 6, 12]),
@@ -246,7 +247,7 @@ pub fn hostile_peer(rng: &mut DetRng) -> HostilePeer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dt_preprocess::wire::read_frame;
+    use dt_preprocess::frame::read_frame;
     use std::io::Cursor;
 
     #[test]

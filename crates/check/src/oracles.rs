@@ -22,14 +22,15 @@ use dt_pipeline::schedule::StageOp;
 use dt_pipeline::sim::homogeneous_1f1b_makespan;
 use dt_pipeline::{simulate, PipelineSpec, Schedule, Workload};
 use dt_data::{DataConfig, ResolutionMode};
-use dt_preprocess::wire::{read_frame, read_json, BatchHeader, Request};
+use dt_preprocess::frame::{read_frame, read_json, write_json};
+use dt_preprocess::wire::{BatchHeader, Request};
 use dt_preprocess::{Consumer, Preprocess};
 use dt_simengine::BackoffPolicy;
 use dt_reorder::{
     inter_reorder, intra_reorder, intra_reorder_indices, max_group_load, InterReorderConfig,
     ReorderError,
 };
-use dt_simengine::{DetRng, Json, SimDuration, SimTime};
+use dt_simengine::{DetRng, Json, SimDuration, SimTime, TempDir};
 use dt_telemetry::{Registry, Snapshot};
 use std::io::{Cursor, Read, Write};
 use std::net::TcpStream;
@@ -90,13 +91,6 @@ pub fn registry() -> Vec<Property> {
             max_size: 14,
             max_cases: u32::MAX,
             run: alg2_invariants,
-        },
-        Property {
-            name: "planner.parallel_bit_identical_to_serial",
-            about: "§4 search: parallel sharded traversal ≡ serial reference on random specs",
-            max_size: 1,
-            max_cases: 10,
-            run: planner_differential,
         },
         Property {
             name: "planner.pruned_matches_exhaustive",
@@ -359,59 +353,6 @@ fn alg2_invariants(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
     })
 }
 
-fn planner_differential(rng: &mut DetRng, _size: usize) -> Result<(), Failure> {
-    let spec = gen::problem_spec(rng);
-    let model = MllmPreset::Mllm9B.build();
-    let gpu = GpuSpec::ampere();
-    let coll = CollectiveCost::new(ClusterSpec::production((spec.total_gpus / 8).max(1)));
-    let perf = PerfModel::new(&model, &gpu, &coll);
-    let samples = gen::sample_batch(rng, 16);
-    let profile = Profiler.profile(&perf, &samples);
-    let solve = |mode: SearchMode, workers: usize| {
-        Orchestrator::builder()
-            .spec(spec)
-            .search_mode(mode)
-            .workers(workers)
-            .build()
-            .map_err(|e| Failure::new(format!("generated spec rejected: {e}")))
-            .map(|orch| orch.plan_candidates(&model, &profile))
-    };
-    let serial = solve(SearchMode::Serial, 0)?;
-    let parallel = solve(SearchMode::Parallel, 4)?;
-    match (serial, parallel) {
-        (Ok(s), Ok(p)) => {
-            ensure(s.len() == p.len(), || {
-                format!("{spec:?}: serial ranked {} candidates, parallel {}", s.len(), p.len())
-            })?;
-            for (i, (a, b)) in s.iter().zip(&p).enumerate() {
-                ensure(a.plan == b.plan, || {
-                    format!("{spec:?}: candidate {i} plans diverge: {:?} vs {:?}", a.plan, b.plan)
-                })?;
-                ensure(a.objective.total().to_bits() == b.objective.total().to_bits(), || {
-                    format!(
-                        "{spec:?}: candidate {i} objectives not bit-identical: {} vs {}",
-                        a.objective.total(),
-                        b.objective.total()
-                    )
-                })?;
-                ensure(
-                    a.candidates_evaluated == b.candidates_evaluated && a.cache_hits == b.cache_hits,
-                    || format!("{spec:?}: candidate {i} search diagnostics diverge"),
-                )?;
-            }
-            Ok(())
-        }
-        (Err(se), Err(pe)) => ensure(se == pe, || {
-            format!("{spec:?}: serial error {se:?} vs parallel error {pe:?}")
-        }),
-        (s, p) => Err(Failure::new(format!(
-            "{spec:?}: serial {} vs parallel {}",
-            s.map(|v| format!("Ok({} candidates)", v.len())).unwrap_or_else(|e| format!("Err({e})")),
-            p.map(|v| format!("Ok({} candidates)", v.len())).unwrap_or_else(|e| format!("Err({e})")),
-        ))),
-    }
-}
-
 /// The optimality certificate for the branch-and-bound planner: on every
 /// generated spec — roughly a quarter deliberately infeasible — the pruned
 /// search must return the same ranked plans with bit-identical objectives
@@ -478,7 +419,7 @@ fn wire_round_trip(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
         Request::Shutdown
     };
     let mut buf = Vec::new();
-    dt_preprocess::wire::write_json(&mut buf, &req).expect("vec write cannot fail");
+    write_json(&mut buf, &req).expect("vec write cannot fail");
     let back: Request = read_json(&mut Cursor::new(&buf[..]))
         .map_err(|e| Failure::new(format!("request failed to decode: {e}")))?;
     ensure(back == req, || format!("request round trip changed {req:?} → {back:?}"))?;
@@ -494,7 +435,7 @@ fn wire_round_trip(rng: &mut DetRng, size: usize) -> Result<(), Failure> {
         samples,
     };
     let mut buf = Vec::new();
-    dt_preprocess::wire::write_json(&mut buf, &header).expect("vec write cannot fail");
+    write_json(&mut buf, &header).expect("vec write cannot fail");
     let back: BatchHeader = read_json(&mut Cursor::new(&buf[..]))
         .map_err(|e| Failure::new(format!("header failed to decode: {e}")))?;
     ensure(back == header, || "batch header round trip changed the header".to_string())?;
@@ -698,13 +639,8 @@ fn correlated_goodput_accounting(rng: &mut DetRng, _size: usize) -> Result<(), F
     // clock exactly.
     let mut outcomes = Vec::with_capacity(2);
     for run in 0..2 {
-        let dir = std::env::temp_dir().join(format!(
-            "dt-check-elastic-{}-{:x}-{run}",
-            std::process::id(),
-            plan.failure_seed
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).map_err(|e| Failure::new(format!("mkdir: {e}")))?;
+        let dir = TempDir::new(&format!("dt-check-elastic-{:x}-{run}", plan.failure_seed))
+            .map_err(|e| Failure::new(format!("mkdir: {e}")))?;
         let out = run_elastic_with(
             task,
             iterations,
@@ -713,7 +649,6 @@ fn correlated_goodput_accounting(rng: &mut DetRng, _size: usize) -> Result<(), F
             &dir,
             &mut dt_simengine::TraceRecorder::disabled(),
         );
-        let _ = std::fs::remove_dir_all(&dir);
         outcomes.push(out);
     }
     let second = outcomes.pop().expect("two runs");
@@ -796,16 +731,6 @@ mod tests {
             let out = run_property(&p, 12);
             assert!(out.failure.is_none(), "{}: {:?}", p.name, out.failure);
         }
-    }
-
-    #[test]
-    fn planner_differential_holds_on_two_cases() {
-        let p = registry()
-            .into_iter()
-            .find(|p| p.name == "planner.parallel_bit_identical_to_serial")
-            .unwrap();
-        let out = run_property(&p, 2);
-        assert!(out.failure.is_none(), "{:?}", out.failure);
     }
 
     #[test]

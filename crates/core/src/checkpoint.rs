@@ -172,6 +172,7 @@ impl Drop for CheckpointManager {
 mod tests {
     use super::*;
     use dt_parallel::ModulePlan;
+    use dt_simengine::TempDir;
 
     fn state(iteration: u32) -> TrainingState {
         TrainingState {
@@ -186,56 +187,45 @@ mod tests {
         }
     }
 
-    fn tempdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "dt-ckpt-{tag}-{}-{}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .unwrap()
-                .as_nanos()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn tempdir(tag: &str) -> TempDir {
+        TempDir::new(&format!("dt-ckpt-{tag}")).unwrap()
     }
 
     #[test]
     fn save_and_recover_round_trips() {
         let dir = tempdir("roundtrip");
-        let mut mgr = CheckpointManager::new(&dir).unwrap();
+        let mut mgr = CheckpointManager::new(&*dir).unwrap();
         mgr.save_async(&state(5)).unwrap();
         mgr.save_async(&state(10)).unwrap();
         mgr.wait().unwrap();
         let recovered = CheckpointManager::recover(&dir).unwrap().unwrap();
         assert_eq!(recovered, state(10));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn recovery_skips_torn_checkpoints() {
         let dir = tempdir("torn");
-        let mut mgr = CheckpointManager::new(&dir).unwrap();
+        let mut mgr = CheckpointManager::new(&*dir).unwrap();
         mgr.save_async(&state(3)).unwrap();
         mgr.wait().unwrap();
         // Simulate a crash that tore the newest checkpoint.
         std::fs::write(dir.join("ckpt-0000000009.json"), b"{ torn").unwrap();
         let recovered = CheckpointManager::recover(&dir).unwrap().unwrap();
         assert_eq!(recovered.iteration, 3);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn empty_or_missing_dir_recovers_none() {
         let dir = tempdir("empty");
         assert_eq!(CheckpointManager::recover(&dir).unwrap(), None);
-        std::fs::remove_dir_all(&dir).unwrap();
+        std::fs::remove_dir_all(&*dir).unwrap();
         assert_eq!(CheckpointManager::recover(&dir).unwrap(), None);
     }
 
     #[test]
     fn async_save_is_ordered() {
         let dir = tempdir("ordered");
-        let mut mgr = CheckpointManager::new(&dir).unwrap();
+        let mut mgr = CheckpointManager::new(&*dir).unwrap();
         for i in 0..5 {
             mgr.save_async(&state(i)).unwrap();
         }
@@ -243,6 +233,5 @@ mod tests {
         let files = std::fs::read_dir(&dir).unwrap().count();
         assert_eq!(files, 5);
         assert_eq!(CheckpointManager::recover(&dir).unwrap().unwrap().iteration, 4);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -232,12 +232,10 @@ mod tests {
     use crate::runtime::RuntimeConfig;
     use crate::system::{SystemKind, TrainingTask};
     use dt_model::MllmPreset;
+    use dt_simengine::TempDir;
 
-    fn tempdir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("dt-fault-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn tempdir(tag: &str) -> TempDir {
+        TempDir::new(&format!("dt-fault-{tag}")).unwrap()
     }
 
     fn runtime_parts() -> (TrainingTask, dt_parallel::OrchestrationPlan) {
@@ -273,7 +271,6 @@ mod tests {
             assert_eq!(a.iter_time, b.iter_time, "replayed iteration must be identical");
             assert_eq!(a.model_flops, b.model_flops);
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -300,7 +297,6 @@ mod tests {
         // Wall clock strictly exceeds the committed work (lost + restart).
         let committed: SimDuration = outcome.report.iterations.iter().map(|i| i.iter_time).sum();
         assert!(outcome.total_wall > committed + SimDuration::from_secs_f64(30.0));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -342,7 +338,6 @@ mod tests {
         assert!(restart.dur >= SimDuration::from_secs_f64(30.0));
         assert_eq!(outcome.report.iterations.len(), 4);
         rec.validate_nesting().expect("fault-run spans stay disjoint per track");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -365,6 +360,5 @@ mod tests {
         let outcome = run_with_failure(&runtime, 3, fault, &dir).unwrap();
         assert_eq!(outcome.lost_iterations, 1);
         assert_eq!(outcome.report.iterations.len(), 3);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

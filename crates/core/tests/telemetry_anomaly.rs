@@ -8,7 +8,7 @@ use disttrain_core::{
     TrainingTask,
 };
 use dt_model::MllmPreset;
-use dt_simengine::{SimDuration, TraceRecorder};
+use dt_simengine::{SimDuration, TempDir, TraceRecorder};
 use dt_telemetry::{names, AnomalyDetector, AnomalyKind, Telemetry};
 
 const ITERS: u32 = 12;
@@ -24,11 +24,8 @@ fn task_runtime(task: &TrainingTask) -> Runtime<'_> {
     }
 }
 
-fn tempdir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("dt-anomaly-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn tempdir(tag: &str) -> TempDir {
+    TempDir::new(&format!("dt-anomaly-{tag}")).unwrap()
 }
 
 #[test]
@@ -76,7 +73,6 @@ fn injected_faults_are_flagged_and_the_clean_run_is_silent() {
         &fault_tel,
     )
     .unwrap();
-    std::fs::remove_dir_all(&dir).unwrap();
     assert_eq!(outcome.report.iterations.len(), ITERS as usize);
 
     let snap = fault_tel.snapshot();

@@ -38,17 +38,15 @@
 //! use dt_elastic::{CheckpointPolicy, ElasticPlan, run_elastic};
 //! use disttrain_core::TrainingTask;
 //! use dt_model::MllmPreset;
-//! use dt_simengine::SimDuration;
+//! use dt_simengine::{SimDuration, TempDir};
 //!
 //! let task = TrainingTask::ablation(MllmPreset::Mllm9B.build(), 32);
 //! let mut plan = ElasticPlan::for_task(&task, SimDuration::from_secs_f64(1e12));
 //! plan.checkpoint = CheckpointPolicy::Fixed(2);
-//! let dir = std::env::temp_dir().join(format!("dt-elastic-doc-{}", std::process::id()));
-//! std::fs::create_dir_all(&dir).unwrap();
+//! let dir = TempDir::new("dt-elastic-doc").unwrap();
 //! let out = run_elastic(&task, 2, &plan, &dir).unwrap();
 //! assert_eq!(out.report.iterations.len(), 2);
 //! out.goodput.validate().unwrap();
-//! std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
 pub mod goodput;

@@ -800,12 +800,10 @@ mod tests {
     use crate::topology::FailureTopology;
     use disttrain_core::RuntimeConfig;
     use dt_model::MllmPreset;
+    use dt_simengine::TempDir;
 
-    fn tempdir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("dt-elastic-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    fn tempdir(tag: &str) -> TempDir {
+        TempDir::new(&format!("dt-elastic-{tag}")).unwrap()
     }
 
     fn secs(s: f64) -> SimDuration {
@@ -910,7 +908,6 @@ mod tests {
                 assert_eq!(got.gpus, reference.gpus, "iteration {i}");
             }
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -926,8 +923,6 @@ mod tests {
         for (x, y) in a.failures.iter().zip(&b.failures) {
             assert_eq!((x.node, x.at, x.iteration, x.action), (y.node, y.at, y.iteration, y.action));
         }
-        std::fs::remove_dir_all(&d1).unwrap();
-        std::fs::remove_dir_all(&d2).unwrap();
     }
 
     #[test]
@@ -951,7 +946,6 @@ mod tests {
             assert_eq!(a.model_flops, b.model_flops);
         }
         out.goodput.validate().unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -974,7 +968,6 @@ mod tests {
         let ro = rec.spans().iter().find(|s| s.cat == cat::REORCH).unwrap();
         assert_eq!(ro.dur, elastic.reshard_cost);
         rec.validate_nesting().expect("elastic spans stay disjoint per track");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1010,7 +1003,6 @@ mod tests {
         assert!(out.epochs.len() >= 2);
         assert_eq!(out.epochs[0].nodes - out.epochs[1].nodes, batch.len() as u32);
         out.goodput.validate().unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1030,7 +1022,6 @@ mod tests {
         // all absorbed in place.
         assert!(out.failures.iter().any(|f| f.action == RecoveryAction::SpareSwap));
         out.goodput.validate().unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1080,7 +1071,6 @@ mod tests {
         assert!(flight.dumps_total() >= 1, "each healer action dumps the flight ring");
         assert!(flight.dumps().iter().any(|d| d.reason == "healer:preemptive-checkpoint"));
         out.goodput.validate().unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1117,7 +1107,6 @@ mod tests {
         assert!(out.goodput.degraded > SimDuration::ZERO);
         assert!(out.goodput.lost > SimDuration::ZERO);
         out.goodput.validate().unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1138,8 +1127,6 @@ mod tests {
         assert_eq!(a.healer_actions, b.healer_actions);
         assert_eq!(a.goodput, b.goodput);
         assert!(!a.healer_actions.is_empty(), "scenario must exercise the healer");
-        std::fs::remove_dir_all(&d1).unwrap();
-        std::fs::remove_dir_all(&d2).unwrap();
     }
 
     #[test]
@@ -1152,7 +1139,6 @@ mod tests {
         let interval = out.epochs[0].checkpoint_interval;
         assert!(interval >= 1, "YD cadence must be at least one iteration");
         out.goodput.validate().unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 

@@ -23,9 +23,9 @@
 //! Figure 17 metric).
 
 use crate::error::PreprocessError;
-use crate::feeder::{PreprocessedBatch, FeederReport, CONSUMER_PID};
-use crate::frame::{read_json_ctx, write_json_ctx};
-use crate::wire::{read_frame, write_json, BatchHeader, Request};
+use crate::feeder::{FeederReport, PreprocessedBatch};
+use crate::frame::{read_frame, read_json_ctx, write_json, write_json_ctx};
+use crate::wire::{BatchHeader, Request};
 use dt_data::GlobalBatch;
 use dt_simengine::backoff::BackoffPolicy;
 use dt_simengine::trace::{cat, TraceContext, WallTraceSink};
@@ -41,6 +41,11 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// Chrome-trace process id for the consumer's wall-clock spans (prefetch
+/// round trips and trainer-visible stalls); adjacent to
+/// [`crate::service::PREPROCESS_PID`].
+pub const CONSUMER_PID: u64 = 1_001;
 
 /// Salt xor-ed into the backoff seed to derive each supervisor's
 /// trace-id stream — same constant the `dt-serve` client uses, so the
@@ -573,6 +578,43 @@ mod tests {
                 })
         });
         assert!(linked, "producer spans must nest under consumer prefetch spans: {spans:?}");
+        assert!(spans.iter().any(|s| s.pid == CONSUMER_PID && s.cat == cat::STALL));
+    }
+
+    #[test]
+    fn instrumented_consumer_and_producer_record_the_preprocess_families() {
+        let tel = Telemetry::enabled();
+        let producer =
+            Preprocess::builder(tiny_data(), 23).telemetry(tel.clone()).spawn().unwrap();
+        let feeder = Consumer::builder(&[producer.addr()])
+            .batch(3)
+            .backoff(fast_backoff(6))
+            .telemetry(tel.clone())
+            .connect()
+            .unwrap();
+        let (_, first) = feeder.next_batch().unwrap();
+        let (_, _) = feeder.next_batch().unwrap();
+        drop(feeder);
+        drop(producer);
+        let snap = tel.snapshot();
+        // Real cross-thread recording: producer session thread + supervisor
+        // thread + trainer thread all hit the same registry.
+        for h in [
+            names::PREPROCESS_FETCH_SECONDS,
+            names::PREPROCESS_DECODE_SECONDS,
+            names::PREPROCESS_FEED_SECONDS,
+            names::PREPROCESS_PREFETCH_SECONDS,
+            names::PREPROCESS_STALL_SECONDS,
+        ] {
+            let hist = snap.histogram_value(h, &[]).unwrap_or_else(|| panic!("missing {h}"));
+            assert!(hist.count >= 2, "{h} must observe both batches");
+        }
+        assert!(snap.counter_value(names::PREPROCESS_BATCHES_TOTAL, &[]).unwrap() >= 2);
+        assert!(snap.counter_value(names::PREPROCESS_SAMPLES_TOTAL, &[]).unwrap() >= 6);
+        // The stall histogram's largest observation covers the cold wait.
+        let stall = snap.histogram_value(names::PREPROCESS_STALL_SECONDS, &[]).unwrap();
+        assert!(stall.sum >= first.stall.as_secs_f64() * 0.5);
+        assert!(snap.gauge_value(names::PREPROCESS_QUEUE_DEPTH, &[]).is_some());
     }
 
     #[test]

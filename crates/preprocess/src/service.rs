@@ -35,9 +35,9 @@
 
 use crate::codec::preprocess_sample;
 use crate::error::PreprocessError;
-use crate::frame::TRACE_FLAG;
+use crate::frame::{WireJson, MAX_FRAME, TRACE_FLAG};
 use crate::reorder_planner::ReorderPlanner;
-use crate::wire::{BatchHeader, Request, WireJson, MAX_FRAME};
+use crate::wire::{BatchHeader, Request};
 use dt_data::{DataConfig, SyntheticLaion, TrainSample};
 use dt_simengine::json::Json;
 use dt_simengine::trace::{cat, TraceContext, WallTraceSink, TRACE_CONTEXT_LEN};
@@ -960,7 +960,7 @@ fn shutdown_session(s: &mut Session, stats: &PlaneStats, tel: &Telemetry) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{read_frame, read_json, write_json};
+    use crate::frame::{read_frame, read_json, write_json};
     use dt_data::ResolutionMode;
 
     fn tiny_data() -> DataConfig {

@@ -13,14 +13,9 @@
 //! response: [len][json BatchHeader] [len][raw token bytes]
 //! ```
 
+use crate::frame::WireJson;
 use dt_data::TrainSample;
 use dt_simengine::json::Json;
-
-// Re-exported so existing callers (feeder, service, dt-check's hostile
-// generators) keep one import path for the whole protocol.
-pub use crate::frame::{
-    read_frame, read_json, write_frame, write_json, WireJson, FRAME_READ_CHUNK, MAX_FRAME,
-};
 
 /// Consumer → producer control messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,6 +130,7 @@ impl WireJson for BatchHeader {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frame::{read_json, write_frame, write_json};
     use std::io::Cursor;
 
     #[test]

@@ -26,6 +26,8 @@
 //!   accounting ([`BackoffPolicy`], [`Deadline`]): the one retry-pacing
 //!   implementation shared by the `dt-serve` client and the `dt-preprocess`
 //!   reconnect supervisor.
+//! * [`tempdir`] — [`TempDir`], a unique, self-cleaning scratch directory
+//!   for checkpointing runs (safe under the parallel test harness).
 //!
 //! Higher layers map paper sections onto this substrate: `dt-pipeline` and
 //! `dt-orchestrator` implement §4 (disaggregated model orchestration),
@@ -37,6 +39,7 @@ pub mod event;
 pub mod json;
 pub mod rng;
 pub mod stats;
+pub mod tempdir;
 pub mod time;
 pub mod trace;
 
@@ -44,5 +47,6 @@ pub use backoff::{BackoffPolicy, Deadline};
 pub use event::{EventQueue, Simulator};
 pub use json::Json;
 pub use rng::DetRng;
+pub use tempdir::TempDir;
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceContext, TraceRecorder, TraceSpan, WallTraceSink};

@@ -16,7 +16,7 @@ use disttrain::elastic::{
     run_elastic, young_daly_interval, CheckpointPolicy, ElasticPlan, RecoveryAction,
 };
 use disttrain::model::MllmPreset;
-use disttrain::simengine::SimDuration;
+use disttrain::simengine::{SimDuration, TempDir};
 
 fn main() {
     let task = TrainingTask::ablation(MllmPreset::Mllm9B.build(), 32);
@@ -52,10 +52,9 @@ fn main() {
         yd.as_secs_f64()
     );
 
-    let dir = std::env::temp_dir().join(format!("dt-elastic-example-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("checkpoint dir");
+    let dir = TempDir::new("dt-elastic-example").expect("checkpoint dir");
     let out = run_elastic(&task, 10, &elastic, &dir).expect("elastic run");
-    let _ = std::fs::remove_dir_all(&dir);
+    drop(dir);
 
     println!("\nfailure log:");
     for f in &out.failures {

@@ -14,7 +14,7 @@ use disttrain::core::{
     run_with_failure_telemetry, FaultPlan, Runtime, StallBurst, SystemKind, TrainingTask,
 };
 use disttrain::prelude::*;
-use disttrain::simengine::TraceRecorder;
+use disttrain::simengine::{TempDir, TraceRecorder};
 
 fn main() {
     let preset = MllmPreset::Mllm9B;
@@ -62,8 +62,7 @@ fn main() {
             extra: SimDuration::from_secs_f64(1.0),
         }),
     };
-    let dir = std::env::temp_dir().join(format!("dt-telemetry-example-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
+    let dir = TempDir::new("dt-telemetry-example").expect("mkdir");
     let faulty = Telemetry::enabled();
     run_with_failure_telemetry(
         &runtime,
@@ -74,7 +73,7 @@ fn main() {
         &faulty,
     )
     .expect("fault run");
-    let _ = std::fs::remove_dir_all(&dir);
+    drop(dir);
 
     // Scan the fault run's series; the clean run stays silent.
     let detector = AnomalyDetector::default();

@@ -12,14 +12,15 @@
 //! let preset = MllmPreset::Mllm9B;
 //! let task = TrainingTask::ablation(preset.build(), preset.ablation_global_batch());
 //!
-//! // The §4 planner: memoized, lattice-sharded parallel search with a
-//! // bit-identical serial reference mode.
+//! // The §4 planner: a memoized branch-and-bound search (the default)
+//! // that returns exactly what the exhaustive `SearchMode::Serial`
+//! // reference would, with a proven-optimal certificate.
 //! let orch = Orchestrator::builder()
 //!     .spec(task.problem_spec())
-//!     .search_mode(SearchMode::Parallel)
 //!     .top_k(4)
 //!     .build()
 //!     .expect("a validated planner");
+//! assert_eq!(orch.search_mode, SearchMode::Pruned);
 //! let report = task
 //!     .plan(SystemKind::DistTrain)
 //!     .expect("the ablation cluster is feasible");
@@ -28,7 +29,6 @@
 //! // Infeasible problems explain themselves in one line instead of `None`.
 //! let err = Orchestrator::builder().global_batch(128).build().unwrap_err();
 //! assert!(matches!(err, PlanError::InvalidSpec { field: "total_gpus", .. }));
-//! drop(orch);
 //! ```
 //!
 //! The `examples/pipeline_timeline.rs` walkthrough — simulate a 1F1B

@@ -93,10 +93,11 @@ fn megatron_pays_the_colocated_preprocessing_tax() {
 #[test]
 fn checkpoint_recovery_round_trips_through_the_runtime() {
     use disttrain::core::checkpoint::{CheckpointManager, TrainingState};
+    use disttrain::simengine::TempDir;
     let t = task(MllmPreset::Mllm9B);
     let plan = t.plan(SystemKind::DistTrain).unwrap();
-    let dir = std::env::temp_dir().join(format!("dt-e2e-ckpt-{}", std::process::id()));
-    let mut mgr = CheckpointManager::new(&dir).unwrap();
+    let dir = TempDir::new("dt-e2e-ckpt").unwrap();
+    let mut mgr = CheckpointManager::new(&*dir).unwrap();
     mgr.save_async(&TrainingState { iteration: 7, plan, seed: t.seed }).unwrap();
     mgr.wait().unwrap();
     let state = CheckpointManager::recover(&dir).unwrap().expect("checkpoint exists");
@@ -104,5 +105,4 @@ fn checkpoint_recovery_round_trips_through_the_runtime() {
     // The recovered plan must still validate and run.
     let report = t.run_with_plan(state.plan, t.runtime_config(SystemKind::DistTrain, 1));
     assert!(report.mfu() > 0.0);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
