@@ -24,7 +24,7 @@
 
 use crate::error::PreprocessError;
 use crate::feeder::{FeederReport, PreprocessedBatch};
-use crate::frame::{read_frame, read_json_ctx, write_json, write_json_ctx};
+use crate::frame::{read_frame, read_json_ctx, set_nodelay, write_json, write_json_ctx};
 use crate::wire::{BatchHeader, Request};
 use dt_data::GlobalBatch;
 use dt_simengine::backoff::BackoffPolicy;
@@ -367,7 +367,7 @@ fn supervise(ctx: SupervisorCtx) {
             if ctx.stop.load(Ordering::SeqCst) {
                 return;
             }
-            match TcpStream::connect(ctx.addr) {
+            match TcpStream::connect(ctx.addr).and_then(|s| set_nodelay(&s).map(|()| s)) {
                 Ok(s) => {
                     stream = Some(s);
                     break;
@@ -455,13 +455,19 @@ fn supervise(ctx: SupervisorCtx) {
                     ctx.flight.record("batch", trace_id, || {
                         format!("x{} from {}", ctx.batch, ctx.addr)
                     });
+                    // Count the batch in before sending it: once sent,
+                    // `next_batch` may take it and count it out first.
+                    let depth = |delta| {
+                        ctx.telemetry
+                            .with(|r| r.gauge(names::PREPROCESS_QUEUE_DEPTH, &[]).add(delta))
+                    };
+                    depth(1.0);
                     if ctx.tx.send(Ok((ctx.addr, trace_id, batch))).is_err() {
+                        depth(-1.0);
                         // Consumer dropped: politely close the session.
                         let _ = write_json(&mut stream, &Request::Shutdown);
                         return;
                     }
-                    ctx.telemetry
-                        .with(|r| r.gauge(names::PREPROCESS_QUEUE_DEPTH, &[]).add(1.0));
                 }
                 Err(e) if e.kind() == io::ErrorKind::InvalidData => {
                     // Protocol violation from the producer: terminal, do
@@ -615,6 +621,49 @@ mod tests {
         let stall = snap.histogram_value(names::PREPROCESS_STALL_SECONDS, &[]).unwrap();
         assert!(stall.sum >= first.stall.as_secs_f64() * 0.5);
         assert!(snap.gauge_value(names::PREPROCESS_QUEUE_DEPTH, &[]).is_some());
+    }
+
+    /// Regression: the supervisor counted a batch into the queue-depth
+    /// gauge only after handing it over, so `next_batch` could count it
+    /// out first and a sample of the gauge read below zero.
+    #[test]
+    fn queue_depth_gauge_never_reads_negative() {
+        let tel = Telemetry::enabled();
+        let plane = Preprocess::builder(tiny_data(), 71).producers(2).workers(1).spawn().unwrap();
+        let feeder = Consumer::builder(plane.addrs())
+            .batch(1)
+            .backoff(fast_backoff(7))
+            .telemetry(tel.clone())
+            .connect()
+            .unwrap();
+        let depth = tel.with(|r| r.gauge(names::PREPROCESS_QUEUE_DEPTH, &[])).unwrap();
+        let mut lowest = f64::INFINITY;
+        for _ in 0..200 {
+            feeder.next_batch().unwrap();
+            lowest = lowest.min(depth.get());
+        }
+        assert!(lowest >= 0.0, "queue depth gauge read {lowest}");
+    }
+
+    /// Regression for the delayed-ACK stall: a request split over two
+    /// writes, on a socket with Nagle on, waited for the producer's
+    /// delayed ACK (a ≈40 ms floor on Linux) on every fetch of a 1×1
+    /// plane. The median stall must sit far below that floor.
+    #[test]
+    fn sequential_fetches_do_not_wait_on_delayed_acks() {
+        let data = DataConfig { resolution: ResolutionMode::Fixed(16), ..DataConfig::evaluation(64) };
+        let plane = Preprocess::builder(data, 81).workers(1).spawn().unwrap();
+        let feeder = Consumer::builder(plane.addrs())
+            .batch(1)
+            .pipeline(1)
+            .backoff(fast_backoff(8))
+            .connect()
+            .unwrap();
+        let mut stalls: Vec<Duration> =
+            (0..40).map(|_| feeder.next_batch().unwrap().1.stall).collect();
+        stalls.sort();
+        let median = stalls[stalls.len() / 2];
+        assert!(median < Duration::from_millis(20), "median stall {median:?} over 40 fetches");
     }
 
     #[test]

@@ -42,6 +42,7 @@
 use dt_simengine::json::Json;
 use dt_simengine::trace::{TraceContext, TRACE_CONTEXT_LEN};
 use std::io::{self, Read, Write};
+use std::net::TcpStream;
 
 /// Frames larger than this are rejected as protocol corruption.
 pub const MAX_FRAME: u32 = 1 << 30;
@@ -63,16 +64,17 @@ pub trait WireJson: Sized {
     fn from_json(value: &Json) -> Result<Self, String>;
 }
 
-/// Write one frame.
+/// Write one frame: the length word and the payload leave in one
+/// vectored write. Two writes would let Nagle's algorithm hold the
+/// payload back until the peer's delayed ACK of the length word (a
+/// ≈40 ms floor on Linux) on any socket without [`set_nodelay`].
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     let len = u32::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
     if len > MAX_FRAME {
         return Err(io::Error::new(io::ErrorKind::InvalidInput, "frame too large"));
     }
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
+    write_vectored_all(w, &[&len.to_le_bytes(), payload])
 }
 
 /// Read one frame.
@@ -110,7 +112,8 @@ fn read_payload(r: &mut impl Read, len: usize) -> io::Result<Vec<u8>> {
 
 /// Write one frame, optionally prefixed by a trace context. `ctx == None`
 /// produces bytes identical to [`write_frame`] — the untraced path stays
-/// free (no flag, no extra bytes, no allocation).
+/// free (no flag, no extra bytes). Either way the frame leaves in one
+/// vectored write.
 pub fn write_frame_ctx(
     w: &mut impl Write,
     ctx: Option<&TraceContext>,
@@ -122,15 +125,20 @@ pub fn write_frame_ctx(
         .filter(|&l| l <= MAX_FRAME - TRACE_CONTEXT_LEN as u32)
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
     let word = (len + TRACE_CONTEXT_LEN as u32) | TRACE_FLAG;
-    // One stack buffer for length word + context: the traced path costs
-    // the same number of writes (and syscalls, on an unbuffered stream)
-    // as the untraced one.
     let mut head = [0u8; 4 + TRACE_CONTEXT_LEN];
     head[..4].copy_from_slice(&word.to_le_bytes());
     head[4..].copy_from_slice(&ctx.encode());
-    w.write_all(&head)?;
-    w.write_all(payload)?;
-    w.flush()
+    write_vectored_all(w, &[&head, payload])
+}
+
+/// Turn off Nagle's algorithm on an RPC socket. Every frame protocol in
+/// the workspace is request/response, so a small write must leave at
+/// once instead of waiting for the ACK of the previous one. Called on
+/// both ends of every connection: the consumer's connect and the
+/// producer's accept, the `dt-serve` client's connect and the daemon's
+/// accept.
+pub fn set_nodelay(stream: &TcpStream) -> io::Result<()> {
+    stream.set_nodelay(true)
 }
 
 /// Read one frame that may carry a trace context. Plain frames come back
@@ -497,24 +505,70 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
+    #[derive(Debug, PartialEq)]
+    struct Msg(u64);
+
+    impl WireJson for Msg {
+        fn to_json(&self) -> Json {
+            Json::obj(vec![("v", Json::num_u64(self.0))])
+        }
+        fn from_json(value: &Json) -> Result<Self, String> {
+            value.get("v").and_then(Json::as_u64).map(Msg).ok_or("bad".into())
+        }
+    }
+
     #[test]
     fn json_ctx_round_trips_both_flavours() {
-        use dt_simengine::json::Json;
-        #[derive(Debug, PartialEq)]
-        struct Msg(u64);
-        impl WireJson for Msg {
-            fn to_json(&self) -> Json {
-                Json::obj(vec![("v", Json::num_u64(self.0))])
-            }
-            fn from_json(value: &Json) -> Result<Self, String> {
-                value.get("v").and_then(Json::as_u64).map(Msg).ok_or("bad".into())
-            }
-        }
         let mut buf = Vec::new();
         write_json_ctx(&mut buf, Some(&ctx()), &Msg(7)).unwrap();
         write_json_ctx(&mut buf, None, &Msg(9)).unwrap();
         let mut cur = Cursor::new(buf);
         assert_eq!(read_json_ctx::<Msg>(&mut cur).unwrap(), (Some(ctx()), Msg(7)));
         assert_eq!(read_json_ctx::<Msg>(&mut cur).unwrap(), (None, Msg(9)));
+    }
+
+    /// A writer that takes every byte offered and counts the calls that
+    /// offered them — one call is one `write`/`writev` on a socket.
+    #[derive(Default)]
+    struct Counting {
+        out: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Counting {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[io::IoSlice::new(buf)])
+        }
+        fn write_vectored(&mut self, bufs: &[io::IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let before = self.out.len();
+            bufs.iter().for_each(|b| self.out.extend_from_slice(b));
+            Ok(self.out.len() - before)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Regression for the delayed-ACK stall: a frame split over two
+    /// writes lets Nagle hold its payload until the peer ACKs the length
+    /// word. Every frame writer must make exactly one write call.
+    #[test]
+    fn every_frame_leaves_in_one_write() {
+        type FrameWriter = fn(&mut Counting) -> io::Result<()>;
+        let writers: [(&str, FrameWriter); 6] = [
+            ("write_frame", |w| write_frame(w, b"payload")),
+            ("write_frame_ctx(None)", |w| write_frame_ctx(w, None, b"payload")),
+            ("write_frame_ctx(Some)", |w| write_frame_ctx(w, Some(&ctx()), b"payload")),
+            ("write_json", |w| write_json(w, &Msg(7))),
+            ("write_json_ctx(None)", |w| write_json_ctx(w, None, &Msg(7))),
+            ("write_json_ctx(Some)", |w| write_json_ctx(w, Some(&ctx()), &Msg(7))),
+        ];
+        for (name, write) in writers {
+            let mut w = Counting::default();
+            write(&mut w).unwrap();
+            assert_eq!(w.calls, 1, "{name} made {} write calls", w.calls);
+            assert!(read_frame_ctx(&mut Cursor::new(&w.out)).is_ok(), "{name} wrote a bad frame");
+        }
     }
 }

@@ -14,7 +14,7 @@
 //! │ nonblocking event loop               │    │ MultiFeeder            │
 //! │   per session: SyntheticLaion        │    │   supervisor per       │
 //! │     → ReorderPlanner                 │───▶│   producer (reconnect  │
-//! │     → worker pool (codec)            │TCP │   w/ seeded backoff)   │
+//! │     → plane decode pool (codec)      │TCP │   w/ seeded backoff)   │
 //! │     → bounded queue (backpressure)   │×NM │   → bounded fan-in     │
 //! │     → coalesced vectored writes      │    │     channel            │
 //! └──────────────────────────────────────┘    └────────────────────────┘

@@ -1,6 +1,6 @@
 //! The producer half of the §6 preprocessing data plane: N TCP endpoints
 //! on dedicated "CPU nodes" that generate, reorder, and preprocess global
-//! batches on worker pools, streaming them to M GPU-side consumers
+//! batches on one shared decode pool, streaming them to M GPU-side consumers
 //! (§5.1's producer, scaled to the paper's many-producers topology).
 //!
 //! ## Architecture
@@ -16,8 +16,13 @@
 //!   other sessions;
 //! * each accepted session owns a deterministic sample stream (derived
 //!   seed) generated by a dedicated **generator thread** running the
-//!   fetch → reorder → decode pipeline on a [`preprocess_parallel`]
-//!   worker pool;
+//!   fetch → reorder → decode pipeline;
+//! * decode runs on **one persistent pool per plane**
+//!   ([`PreprocessBuilder::workers`] threads, spawned with the plane,
+//!   shared by every endpoint and session, joined by
+//!   [`PreprocessHandle::shutdown`]): the generator hands all but the
+//!   first chunk of a batch to the pool and decodes the first itself, so
+//!   a one-sample batch never crosses threads and no batch spawns one;
 //! * generator and event loop meet at a **bounded batch queue**
 //!   ([`PreprocessBuilder::queue_capacity`]): when the consumer falls
 //!   behind, the generator receives a typed
@@ -27,7 +32,10 @@
 //! * responses leave through the coalesced zero-copy framing of
 //!   [`crate::frame::write_batch_frames`]: the JSON header frame and the
 //!   multi-chunk payload frame go out in one vectored write, without ever
-//!   materializing the concatenated payload.
+//!   materializing the concatenated payload;
+//! * every accepted socket runs with `TCP_NODELAY`
+//!   ([`crate::frame::set_nodelay`]), and the consumer's requests leave
+//!   one write per frame, so no frame waits on Nagle for a delayed ACK.
 //!
 //! Wire protocol, framing, and the per-session deterministic streams are
 //! unchanged from the single-producer service, so old consumers (and the
@@ -35,7 +43,7 @@
 
 use crate::codec::preprocess_sample;
 use crate::error::PreprocessError;
-use crate::frame::{WireJson, MAX_FRAME, TRACE_FLAG};
+use crate::frame::{set_nodelay, WireJson, MAX_FRAME, TRACE_FLAG};
 use crate::reorder_planner::ReorderPlanner;
 use crate::wire::{BatchHeader, Request};
 use dt_data::{DataConfig, SyntheticLaion, TrainSample};
@@ -46,7 +54,9 @@ use dt_telemetry::{names, FlightLog, FlightRecorder, Telemetry};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -128,7 +138,8 @@ impl PreprocessBuilder {
         self
     }
 
-    /// Preprocessing worker threads per generated batch.
+    /// Decode threads of the plane: one persistent pool of this many
+    /// threads, shared by every endpoint and session.
     pub fn workers(mut self, n: u32) -> Self {
         self.workers = n;
         self
@@ -202,11 +213,24 @@ impl PreprocessBuilder {
                 reason: "queue_capacity must be >= 1 (a zero-capacity queue deadlocks every session at its first batch)".into(),
             });
         }
-        let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(PlaneStats::default());
+        let (pool, decode_threads) =
+            DecodePool::spawn(self.workers, &stats).map_err(|e| PreprocessError::Bind {
+                addr: "127.0.0.1:0".into(),
+                reason: format!("spawn decode pool: {e}"),
+            })?;
         let cfg = Arc::new(self);
-        let mut addrs = Vec::with_capacity(cfg.producers);
-        let mut joins = Vec::with_capacity(cfg.producers);
+        // Built before the first endpoint, so a failure part-way drops it
+        // and its `Drop` stops and joins whatever already started.
+        let mut handle = PreprocessHandle {
+            addrs: Vec::with_capacity(cfg.producers),
+            stop: Arc::new(AtomicBool::new(false)),
+            joins: Vec::with_capacity(cfg.producers),
+            stats,
+            pool: Some(pool),
+            decode_threads,
+            clean: true,
+        };
         for endpoint in 0..cfg.producers {
             let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| PreprocessError::Bind {
                 addr: "127.0.0.1:0".into(),
@@ -220,20 +244,21 @@ impl PreprocessBuilder {
                 addr: addr.to_string(),
                 reason: format!("set_nonblocking: {e}"),
             })?;
-            addrs.push(addr);
             let cfg = cfg.clone();
-            let stop = stop.clone();
-            let stats = stats.clone();
+            let stop = handle.stop.clone();
+            let stats = handle.stats.clone();
+            let pool = handle.pool.clone().expect("the pool lives until shutdown");
             let join = std::thread::Builder::new()
                 .name(format!("dt-preprocess-ep{endpoint}"))
-                .spawn(move || endpoint_loop(listener, endpoint as u64, cfg, stop, stats))
+                .spawn(move || endpoint_loop(listener, endpoint as u64, cfg, stop, stats, pool))
                 .map_err(|e| PreprocessError::Bind {
                     addr: addr.to_string(),
                     reason: format!("spawn event loop: {e}"),
                 })?;
-            joins.push(join);
+            handle.addrs.push(addr);
+            handle.joins.push(join);
         }
-        Ok(PreprocessHandle { addrs, stop, joins, stats, clean: true })
+        Ok(handle)
     }
 }
 
@@ -266,6 +291,9 @@ pub struct PreprocessHandle {
     stop: Arc<AtomicBool>,
     joins: Vec<JoinHandle<()>>,
     stats: Arc<PlaneStats>,
+    /// The decode pool's job queue; `None` once shutdown closed it.
+    pool: Option<Arc<DecodePool>>,
+    decode_threads: Vec<JoinHandle<()>>,
     clean: bool,
 }
 
@@ -290,12 +318,20 @@ impl PreprocessHandle {
     }
 
     /// Stop every endpoint, join every thread. Returns `true` when all
-    /// event loops and generators exited cleanly (no thread panicked) —
-    /// the property the end-to-end fuzz oracle asserts after feeding the
-    /// plane hostile traffic.
+    /// event loops, generators and decode jobs finished cleanly (nothing
+    /// panicked) — the property the end-to-end fuzz oracle asserts after
+    /// feeding the plane hostile traffic.
     pub fn shutdown(&mut self) -> bool {
         self.stop.store(true, Ordering::SeqCst);
         for join in self.joins.drain(..) {
+            if join.join().is_err() {
+                self.clean = false;
+            }
+        }
+        // Every event loop joined its generators, so this is the last
+        // sender on the job queue: the decode threads drain it and exit.
+        self.pool = None;
+        for join in self.decode_threads.drain(..) {
             if join.join().is_err() {
                 self.clean = false;
             }
@@ -444,8 +480,91 @@ pub fn preprocess_parallel(samples: &[TrainSample], workers: u32) -> Vec<Vec<u8>
     out
 }
 
+/// One unit of decode-pool work.
+type DecodeJob = Box<dyn FnOnce() + Send>;
+
+/// Decode one chunk of a batch on the calling thread.
+fn decode_chunk(samples: &[TrainSample]) -> Vec<Vec<u8>> {
+    samples.iter().map(|s| preprocess_sample(s).token_bytes).collect()
+}
+
+/// The plane's decode threads: one shared job queue served by a fixed
+/// set of persistent threads, so generating a batch never spawns one.
+#[derive(Debug)]
+struct DecodePool {
+    jobs: Sender<DecodeJob>,
+    /// Most chunks one batch is split into (the pool's thread count).
+    width: usize,
+}
+
+impl DecodePool {
+    /// Start `workers` decode threads. A job that panics is caught: it
+    /// marks the plane panicked (so [`PreprocessHandle::shutdown`]
+    /// reports `false`) and its thread keeps serving. The threads exit
+    /// once every [`DecodePool`] handle is dropped and the queue drained.
+    fn spawn(
+        workers: u32,
+        stats: &Arc<PlaneStats>,
+    ) -> io::Result<(Arc<DecodePool>, Vec<JoinHandle<()>>)> {
+        let (jobs, queue) = mpsc::channel::<DecodeJob>();
+        let queue = Arc::new(Mutex::new(queue));
+        let threads = (0..workers)
+            .map(|i| {
+                let queue = queue.clone();
+                let stats = stats.clone();
+                std::thread::Builder::new().name(format!("dt-preprocess-decode{i}")).spawn(
+                    move || loop {
+                        // Bound first: the guard must drop before the job
+                        // runs, so a panicking job never poisons the lock.
+                        let job = queue.lock().expect("no job runs under the queue lock").recv();
+                        let Ok(job) = job else { return };
+                        if std::panic::catch_unwind(AssertUnwindSafe(job)).is_err() {
+                            stats.panicked.store(true, Ordering::SeqCst);
+                        }
+                    },
+                )
+            })
+            .collect::<io::Result<Vec<_>>>()?;
+        Ok((Arc::new(DecodePool { jobs, width: workers as usize }), threads))
+    }
+
+    /// Decode `samples`, byte-identical to [`preprocess_sample`] on each
+    /// and in input order. The batch splits into at most `width` chunks;
+    /// all but the first go to the pool, and the calling thread decodes
+    /// the first meanwhile, so a one-sample batch never crosses threads.
+    /// The samples come back with their token bytes. `None` when a pool
+    /// job died without answering (a decode panic).
+    fn decode(&self, samples: Vec<TrainSample>) -> Option<(Vec<TrainSample>, Vec<Vec<u8>>)> {
+        let chunk = samples.len().div_ceil(self.width).max(1);
+        let mut rest = samples.into_iter();
+        let mut samples: Vec<TrainSample> = rest.by_ref().take(chunk).collect();
+        let mut pending = Vec::new();
+        loop {
+            let part: Vec<TrainSample> = rest.by_ref().take(chunk).collect();
+            if part.is_empty() {
+                break;
+            }
+            let (tx, rx) = mpsc::sync_channel(1);
+            let job: DecodeJob = Box::new(move || {
+                let tokens = decode_chunk(&part);
+                let _ = tx.send((part, tokens));
+            });
+            self.jobs.send(job).ok()?;
+            pending.push(rx);
+        }
+        let mut tokens = decode_chunk(&samples);
+        for rx in pending {
+            let (part, part_tokens) = rx.recv().ok()?;
+            samples.extend(part);
+            tokens.extend(part_tokens);
+        }
+        Some((samples, tokens))
+    }
+}
+
 struct GeneratorCtx {
     cfg: Arc<PreprocessBuilder>,
+    pool: Arc<DecodePool>,
     requests: Arc<RequestQueue>,
     queue: Arc<BatchQueue>,
     session_stop: Arc<AtomicBool>,
@@ -507,7 +626,13 @@ fn generator_loop(ctx: GeneratorCtx) {
                 .observe_traced(started.elapsed().as_secs_f64(), trace_id)
         });
         let decode_started = Instant::now();
-        let chunks = preprocess_parallel(&samples, ctx.cfg.workers);
+        let Some((samples, chunks)) = ctx.pool.decode(samples) else {
+            // A decode job panicked (the pool marked the plane): this
+            // session's stream cannot continue.
+            ctx.flight.record("panic", trace_id, || "decode job panicked".into());
+            flight_dump(&ctx.flight, &ctx.cfg.telemetry, "panic");
+            return;
+        };
         if let Some(sink) = &ctx.cfg.trace {
             sink.record_traced(
                 format!("decode x{count}"),
@@ -719,6 +844,7 @@ fn endpoint_loop(
     cfg: Arc<PreprocessBuilder>,
     plane_stop: Arc<AtomicBool>,
     stats: Arc<PlaneStats>,
+    pool: Arc<DecodePool>,
 ) {
     let mut sessions: Vec<Session> = Vec::new();
     let mut session_idx = 0u64;
@@ -733,7 +859,7 @@ fn endpoint_loop(
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     active = true;
-                    if stream.set_nonblocking(true).is_err() {
+                    if stream.set_nonblocking(true).and_then(|()| set_nodelay(&stream)).is_err() {
                         continue;
                     }
                     stats.sessions.fetch_add(1, Ordering::Relaxed);
@@ -753,6 +879,7 @@ fn endpoint_loop(
                         .recorder(&format!("pre:ep{endpoint}:s{tid}"), DEFAULT_RING_CAPACITY);
                     let ctx = GeneratorCtx {
                         cfg: cfg.clone(),
+                        pool: pool.clone(),
                         requests: requests.clone(),
                         queue: queue.clone(),
                         session_stop: session_stop.clone(),
@@ -1130,6 +1257,45 @@ mod tests {
         for (s, bytes) in samples.iter().zip(&par) {
             assert_eq!(bytes, &preprocess_sample(s).token_bytes);
         }
+    }
+
+    #[test]
+    fn decode_pool_matches_serial_in_order() {
+        let stats = Arc::new(PlaneStats::default());
+        let (pool, threads) = DecodePool::spawn(3, &stats).unwrap();
+        let samples = SyntheticLaion::new(tiny_data(), 9).take(7);
+        let (back, tokens) = pool.decode(samples.clone()).unwrap();
+        assert_eq!(back, samples, "samples must come back in input order");
+        let serial: Vec<Vec<u8>> =
+            samples.iter().map(|s| preprocess_sample(s).token_bytes).collect();
+        assert_eq!(tokens, serial);
+        drop(pool);
+        for t in threads {
+            t.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn shutdown_joins_the_decode_pool() {
+        let mut handle = Preprocess::builder(tiny_data(), 11).workers(3).spawn().unwrap();
+        let pool = Arc::downgrade(handle.pool.as_ref().unwrap());
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        write_json(&mut stream, &Request::FetchBatch { count: 7 }).unwrap();
+        let header: BatchHeader = read_json(&mut stream).unwrap();
+        assert_eq!(header.samples.len(), 7);
+        let _ = read_frame(&mut stream).unwrap();
+        assert!(handle.shutdown(), "plane must shut down cleanly");
+        assert!(pool.upgrade().is_none(), "a handle on the job queue outlived shutdown");
+        assert!(handle.decode_threads.is_empty(), "decode threads left unjoined");
+    }
+
+    #[test]
+    fn panicking_decode_job_fails_shutdown() {
+        let mut handle = Preprocess::builder(tiny_data(), 12).workers(2).spawn().unwrap();
+        let pool = handle.pool.clone().unwrap();
+        pool.jobs.send(Box::new(|| panic!("decode job failure"))).unwrap();
+        drop(pool);
+        assert!(!handle.shutdown(), "a panicked decode job must fail shutdown");
     }
 
     #[test]

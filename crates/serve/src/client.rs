@@ -21,7 +21,7 @@
 //! the `dt-preprocess` reconnect supervisor runs on.
 
 use crate::api::{ServeReply, ServeRequest};
-use dt_preprocess::frame::{read_json, write_json_ctx};
+use dt_preprocess::frame::{read_json, set_nodelay, write_json_ctx};
 use dt_simengine::backoff::{BackoffPolicy, Deadline};
 use dt_simengine::trace::{cat, TraceContext, WallTraceSink};
 use dt_simengine::DetRng;
@@ -238,6 +238,7 @@ impl Client {
             .remaining_or(Duration::from_secs(3600))
             .ok_or_else(|| io::Error::new(io::ErrorKind::TimedOut, "client deadline spent"))?;
         let mut stream = TcpStream::connect_timeout(&self.addr, remaining)?;
+        set_nodelay(&stream)?;
         stream.set_read_timeout(Some(remaining))?;
         stream.set_write_timeout(Some(remaining))?;
         write_json_ctx(&mut stream, ctx, req)?;

@@ -40,7 +40,7 @@ use crate::store::{task_for, PlanStore};
 use disttrain_core::{SystemKind, TrainingTask};
 use dt_orchestrator::{Orchestrator, PlanReport, DEFAULT_TOP_K};
 use dt_parallel::plan::ModulePlan;
-use dt_preprocess::frame::{read_json_ctx, write_json};
+use dt_preprocess::frame::{read_json_ctx, set_nodelay, write_json};
 use dt_simengine::trace::{cat, TraceContext, WallTraceSink};
 use dt_telemetry::flight::DEFAULT_RING_CAPACITY;
 use dt_telemetry::{names, FlightLog, FlightRecorder, Telemetry};
@@ -209,6 +209,9 @@ impl ServeHandle {
                 sessions.retain(|h| !h.is_finished());
                 match conn {
                     Ok(mut stream) => {
+                        // Best effort: a socket that refuses only costs
+                        // latency, never correctness.
+                        let _ = set_nodelay(&stream);
                         let shared = accept_shared.clone();
                         let tx = tx.clone();
                         let spawned =

@@ -23,9 +23,10 @@
 //! bound, and every connection is closed after one response — this is an
 //! exposition endpoint, not a web server.
 
+use dt_preprocess::frame::write_vectored_all;
 use dt_simengine::WallTraceSink;
 use dt_telemetry::{names, record_build_info, FlightLog, Telemetry};
-use std::io::{self, Read, Write};
+use std::io::{self, BufRead, BufReader, Read};
 use std::net::TcpStream;
 use std::time::Instant;
 
@@ -85,19 +86,24 @@ pub fn serve_http(stream: &mut TcpStream, state: HttpState) -> io::Result<()> {
     }
 }
 
-/// Read until the blank line ending the request head, bounded.
+/// Read until the blank line ending the request head, bounded: at most
+/// [`MAX_HEAD`] bytes are ever taken off the socket, a buffer at a time.
 fn read_head(stream: &mut TcpStream) -> io::Result<String> {
+    let mut reader = BufReader::new(Read::take(stream, MAX_HEAD as u64));
     let mut head = Vec::new();
-    let mut byte = [0u8; 1];
-    while head.len() < MAX_HEAD {
-        stream.read_exact(&mut byte)?;
-        head.push(byte[0]);
+    loop {
+        if reader.read_until(b'\n', &mut head)? == 0 {
+            return Err(if head.len() >= MAX_HEAD {
+                io::Error::new(io::ErrorKind::InvalidData, "request head too large")
+            } else {
+                io::Error::new(io::ErrorKind::UnexpectedEof, "request head cut short")
+            });
+        }
         if head.ends_with(b"\r\n\r\n") || head.ends_with(b"\n\n") {
             return String::from_utf8(head)
                 .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e));
         }
     }
-    Err(io::Error::new(io::ErrorKind::InvalidData, "request head too large"))
 }
 
 fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) -> io::Result<()> {
@@ -111,7 +117,52 @@ fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) 
         "HTTP/1.0 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
-    stream.flush()
+    // One write: head and body split over two would let Nagle hold the
+    // body back until the scraper's delayed ACK of the head.
+    write_vectored_all(stream, &[head.as_bytes(), body.as_bytes()])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Write;
+    use std::net::{Shutdown, TcpListener};
+
+    /// Send `request`, close the write half, serve one exchange, and
+    /// return everything the client reads back.
+    fn exchange(request: &[u8]) -> String {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        client.write_all(request).unwrap();
+        client.shutdown(Shutdown::Write).unwrap();
+        let (mut server, _) = listener.accept().unwrap();
+        let state = HttpState {
+            telemetry: Telemetry::disabled(),
+            trace: WallTraceSink::new(),
+            flight: FlightLog::disabled(),
+            started: Instant::now(),
+        };
+        serve_http(&mut server, state).unwrap();
+        drop(server);
+        let mut response = String::new();
+        client.read_to_string(&mut response).unwrap();
+        response
+    }
+
+    #[test]
+    fn answers_a_get_in_one_response() {
+        let response = exchange(b"GET /healthz HTTP/1.0\r\nHost: dt-serve\r\n\r\n");
+        assert!(response.starts_with("HTTP/1.0 200 OK\r\n"), "{response}");
+        assert!(response.ends_with("\r\n\r\nok\n"), "{response}");
+    }
+
+    #[test]
+    fn unterminated_or_oversized_heads_get_400() {
+        let cut_short = exchange(b"GET /healthz HTTP/1.0\r\n");
+        assert!(cut_short.starts_with("HTTP/1.0 400"), "{cut_short}");
+        // Exactly the bound and still no blank line: every byte sent is
+        // read, so the close is clean and the 400 reaches the client.
+        let oversized = exchange(&[b'a'; MAX_HEAD]);
+        assert!(oversized.starts_with("HTTP/1.0 400"), "{oversized}");
+    }
 }

@@ -198,6 +198,14 @@ if grep -q '"clean_shutdown":false' BENCH_PREPROCESS.json; then
     exit 1
 fi
 
+echo "==> perfbench data-fanin smoke (builds the benchmark against the library; every output check passes)"
+# perfbench is a package of its own outside the workspace, so nothing
+# above compiles it: without this step a library change that breaks one
+# of its imports would go unnoticed until the next benchmark run.
+bash perfbench/run.sh --workload data-fanin --seed 1 --seconds 3 --trace 0 \
+    > "$VERIFY_TMP/perfbench.log" 2>&1 \
+    || { echo "perfbench data-fanin failed" >&2; cat "$VERIFY_TMP/perfbench.log" >&2; exit 1; }
+
 echo "==> repro --metrics smoke (Prometheus exposition + JSON archive)"
 ./target/release/repro zoo --metrics "$VERIFY_TMP/metrics.prom" > /dev/null
 test -s "$VERIFY_TMP/metrics.prom" || { echo "metrics.prom missing or empty" >&2; exit 1; }
