@@ -10,7 +10,7 @@
 use crate::report::{fmt_secs, Report};
 use dt_data::{DataConfig, ResolutionMode, SyntheticLaion, TrainSample};
 use dt_preprocess::service::preprocess_parallel;
-use dt_preprocess::{Consumer, Preprocess};
+use dt_preprocess::{Consumer, Preprocess, PreprocessError};
 use std::time::{Duration, Instant};
 
 /// A synthetic "iteration batch" of one sample with `n` images at `res`.
@@ -42,7 +42,10 @@ pub fn colocated_overhead(n: u32, res: u32, workers: u32) -> Duration {
 /// headroom is what lets the producer stay ahead. We size the gap from the
 /// measured colocated cost of the same configuration so the experiment is
 /// self-calibrating across machines and build profiles.
-pub fn disaggregated_overhead(n: u32, res: u32) -> Duration {
+///
+/// A plane that cannot be spawned, connected to, or fed is a typed
+/// [`PreprocessError`], not a panic.
+pub fn disaggregated_overhead(n: u32, res: u32) -> Result<Duration, PreprocessError> {
     let data = DataConfig {
         resolution: ResolutionMode::Fixed(res),
         max_images_per_sample: n,
@@ -51,22 +54,23 @@ pub fn disaggregated_overhead(n: u32, res: u32) -> Duration {
     // Real iterations are never shorter than ~100 ms even for light
     // batches (§7.3: seconds to tens of seconds), so floor the gap there.
     let iteration_gap = colocated_overhead(n, res, 1).mul_f64(1.3).max(Duration::from_millis(100));
-    let producer = Preprocess::builder(data, 1).spawn().expect("producer");
-    let feeder = Consumer::builder(&[producer.addr()]).batch(1).connect().expect("connect");
+    let producer = Preprocess::builder(data, 1).spawn()?;
+    let feeder = Consumer::builder(&[producer.addr()]).batch(1).connect()?;
     // Cold fetch fills the queue; the steady-state stall is what the paper
     // reports.
-    let _ = feeder.next_batch().expect("warm-up batch");
+    feeder.next_batch()?;
     std::thread::sleep(iteration_gap);
     let mut worst = Duration::ZERO;
     for _ in 0..2 {
-        let (_, report) = feeder.next_batch().expect("steady batch");
+        let (_, report) = feeder.next_batch()?;
         worst = worst.max(report.stall);
         std::thread::sleep(iteration_gap);
     }
-    worst
+    Ok(worst)
 }
 
-/// Run the measurement matrix.
+/// Run the measurement matrix. A configuration whose plane fails shows
+/// the error in its disaggregated cell.
 pub fn run() -> Report {
     let mut r = Report::new(
         "Figure 17 — measured preprocessing overhead per iteration (DP=1, real codec + real TCP)",
@@ -76,12 +80,11 @@ pub fn run() -> Report {
     r.note("disaggregation reduces the GPU-side overhead to milliseconds.");
     for (n, res) in [(1u32, 512u32), (5, 512), (10, 512), (1, 1024), (5, 1024), (10, 1024)] {
         let col = colocated_overhead(n, res, 1);
-        let dis = disaggregated_overhead(n, res);
-        r.row(vec![
-            format!("({n}, {res})"),
-            fmt_secs(col.as_secs_f64()),
-            fmt_secs(dis.as_secs_f64()),
-        ]);
+        let dis = match disaggregated_overhead(n, res) {
+            Ok(stall) => fmt_secs(stall.as_secs_f64()),
+            Err(e) => format!("error: {e}"),
+        };
+        r.row(vec![format!("({n}, {res})"), fmt_secs(col.as_secs_f64()), dis]);
     }
     r
 }
@@ -98,7 +101,7 @@ mod tests {
         // the reported Figure 17 numbers) show the full gap.
         let factor = 5;
         let col = colocated_overhead(5, 512, 1);
-        let dis = disaggregated_overhead(5, 512);
+        let dis = disaggregated_overhead(5, 512).unwrap();
         assert!(
             col >= dis * factor,
             "colocated {col:?} should dwarf disaggregated {dis:?}"

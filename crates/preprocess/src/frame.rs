@@ -16,9 +16,10 @@
 //!
 //! The length header is *untrusted input* everywhere this codec is used
 //! (a hostile or corrupt peer can claim anything), so [`read_frame`]
-//! never allocates eagerly from the header: the payload buffer grows
-//! [`FRAME_READ_CHUNK`] at a time as bytes actually arrive, and a header
-//! above [`MAX_FRAME`] is rejected outright as protocol corruption.
+//! never allocates eagerly from the header: the payload buffer starts at
+//! [`FRAME_READ_CHUNK`] and at most doubles each time the bytes already
+//! arrived fill it, capped at the frame length, and a header above
+//! [`MAX_FRAME`] is rejected outright as protocol corruption.
 //!
 //! ## Trace-context extension
 //!
@@ -81,10 +82,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 ///
 /// The length header is untrusted input: a corrupt 4-byte prefix can
 /// claim anything up to [`MAX_FRAME`] (1 GiB), so the payload buffer is
-/// grown incrementally ([`FRAME_READ_CHUNK`] at a time) as bytes actually
-/// arrive, never allocated eagerly from the header. A truncated or
-/// corrupt stream errors with [`io::ErrorKind::UnexpectedEof`] after
-/// buffering at most the bytes it really sent (plus one chunk).
+/// grown as bytes actually arrive, never allocated eagerly from the
+/// header. A truncated or corrupt stream errors with
+/// [`io::ErrorKind::UnexpectedEof`] after buffering at most twice the
+/// bytes it really sent (or one chunk).
 pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     let mut head = [0u8; 4];
     r.read_exact(&mut head)?;
@@ -95,17 +96,20 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
     read_payload(r, len as usize)
 }
 
-/// Chunked hostile-safe payload read shared by [`read_frame`] and
-/// [`read_frame_ctx`]: the buffer grows [`FRAME_READ_CHUNK`] at a time as
-/// bytes actually arrive.
+/// Hostile-safe payload read shared by [`read_frame`] and
+/// [`read_frame_ctx`]: the buffer starts at one [`FRAME_READ_CHUNK`] and
+/// doubles only once the bytes that arrived fill it, never past `len` —
+/// so an honest frame ends in exactly `len` bytes of capacity, and no
+/// allocation is more than twice the bytes received (or one chunk).
 fn read_payload(r: &mut impl Read, len: usize) -> io::Result<Vec<u8>> {
     let mut payload: Vec<u8> = Vec::with_capacity(len.min(FRAME_READ_CHUNK));
-    let mut filled = 0usize;
-    while filled < len {
-        let step = (len - filled).min(FRAME_READ_CHUNK);
-        payload.resize(filled + step, 0);
-        r.read_exact(&mut payload[filled..filled + step])?;
-        filled += step;
+    while payload.len() < len {
+        let filled = payload.len();
+        if filled == payload.capacity() {
+            payload.reserve_exact((2 * filled).min(len) - filled);
+        }
+        payload.resize(payload.capacity().min(len), 0);
+        r.read_exact(&mut payload[filled..])?;
     }
     Ok(payload)
 }
@@ -360,6 +364,18 @@ mod tests {
         let mut buf = Vec::new();
         write_frame(&mut buf, &payload).unwrap();
         assert_eq!(read_frame(&mut Cursor::new(buf)).unwrap(), payload);
+    }
+
+    #[test]
+    fn large_frame_capacity_is_exactly_its_length() {
+        // 3.5 chunks: the buffer doubles 1 → 2 chunks, then stops at the
+        // frame's length instead of doubling again to 4.
+        let payload: Vec<u8> = (0..7 * FRAME_READ_CHUNK / 2).map(|i| (i * 13) as u8).collect();
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &payload).unwrap();
+        let got = read_frame(&mut Cursor::new(buf)).unwrap();
+        assert_eq!(got, payload);
+        assert_eq!(got.capacity(), payload.len());
     }
 
     #[test]

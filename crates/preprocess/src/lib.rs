@@ -53,7 +53,7 @@ pub mod reorder_planner;
 pub mod service;
 pub mod wire;
 
-pub use codec::{decompress, patchify, preprocess_sample, resize, synth_compressed, PreprocessedSample};
+pub use codec::{preprocess_sample, synth_compressed, PreprocessedSample};
 pub use consumer::{Consumer, ConsumerBuilder, MultiFeeder, CONSUMER_PID};
 pub use error::PreprocessError;
 pub use feeder::{ColocatedFeeder, FeederReport};

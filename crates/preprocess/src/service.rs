@@ -20,9 +20,12 @@
 //! * decode runs on **one persistent pool per plane**
 //!   ([`PreprocessBuilder::workers`] threads, spawned with the plane,
 //!   shared by every endpoint and session, joined by
-//!   [`PreprocessHandle::shutdown`]): the generator hands all but the
-//!   first chunk of a batch to the pool and decodes the first itself, so
-//!   a one-sample batch never crosses threads and no batch spawns one;
+//!   [`PreprocessHandle::shutdown`]), so no batch spawns a thread; the
+//!   generator queues the batch's image **bands** in order (see
+//!   [`crate::codec`]), so one giant image spreads over every decode
+//!   thread, each band linked to the next by the one-shot carry of the
+//!   decoder's running byte, and the decoded bands are the payload's
+//!   chunks;
 //! * generator and event loop meet at a **bounded batch queue**
 //!   ([`PreprocessBuilder::queue_capacity`]): when the consumer falls
 //!   behind, the generator receives a typed
@@ -41,7 +44,7 @@
 //! unchanged from the single-producer service, so old consumers (and the
 //! colocated-equivalence guarantee) keep working byte-for-byte.
 
-use crate::codec::preprocess_sample;
+use crate::codec::{preprocess_sample, token_len, Image};
 use crate::error::PreprocessError;
 use crate::frame::{set_nodelay, WireJson, MAX_FRAME, TRACE_FLAG};
 use crate::reorder_planner::ReorderPlanner;
@@ -56,7 +59,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -139,7 +142,10 @@ impl PreprocessBuilder {
     }
 
     /// Decode threads of the plane: one persistent pool of this many
-    /// threads, shared by every endpoint and session.
+    /// threads, shared by every endpoint and session. The pool decodes
+    /// image bands, so even a one-sample batch of one giant image uses
+    /// every thread; a batch of small images is grouped into at most
+    /// this many jobs.
     pub fn workers(mut self, n: u32) -> Self {
         self.workers = n;
         self
@@ -351,8 +357,8 @@ impl Drop for PreprocessHandle {
 // ---------------------------------------------------------------------------
 
 /// One preprocessed batch, framed for the wire but never concatenated:
-/// the event loop writes `header_json` and the per-sample `chunks`
-/// directly via one vectored write.
+/// the event loop writes `header_json` and the decoded bands' `chunks`
+/// (in batch order) directly via one vectored write.
 struct ReadyBatch {
     header_json: Vec<u8>,
     chunks: Vec<Vec<u8>>,
@@ -483,9 +489,111 @@ pub fn preprocess_parallel(samples: &[TrainSample], workers: u32) -> Vec<Vec<u8>
 /// One unit of decode-pool work.
 type DecodeJob = Box<dyn FnOnce() + Send>;
 
-/// Decode one chunk of a batch on the calling thread.
-fn decode_chunk(samples: &[TrainSample]) -> Vec<Vec<u8>> {
-    samples.iter().map(|s| preprocess_sample(s).token_bytes).collect()
+/// One band queued on the decode pool, linked into its image's carry
+/// chain by one-shot channels.
+struct BandTask {
+    image: Arc<Image>,
+    band: usize,
+    /// The running byte entering the band, sent by its predecessor;
+    /// `None` for an image's first band.
+    enter: Option<Receiver<u8>>,
+    /// Where the byte leaving the band goes; `None` for the last band.
+    leave: Option<SyncSender<u8>>,
+}
+
+/// Where a [`BandJob`] answers: its bands' pieces, in order.
+type Pieces = Receiver<Vec<Vec<u8>>>;
+
+/// A pool job: some bands, decoded in order, each into its own
+/// exactly-sized piece of token bytes.
+struct BandJob {
+    tasks: Vec<BandTask>,
+    done: SyncSender<Vec<Vec<u8>>>,
+}
+
+impl BandJob {
+    /// Decode every band and send the pieces back. A band whose
+    /// predecessor died (its sender dropped unsent) gives up, and dropping
+    /// this job's own senders carries the failure down the chain and to
+    /// the collector.
+    fn run(self) {
+        let mut pieces = Vec::with_capacity(self.tasks.len());
+        for BandTask { image, band, enter, leave } in self.tasks {
+            let mut piece = vec![0u8; image.band_len(band)];
+            let entering = || enter?.recv().ok();
+            let leaving = |carry| {
+                if let Some(tx) = leave {
+                    let _ = tx.send(carry);
+                }
+            };
+            if image.decode_band(band, entering, leaving, &mut piece).is_none() {
+                return;
+            }
+            pieces.push(piece);
+        }
+        let _ = self.done.send(pieces);
+    }
+}
+
+/// Cut a batch into pool jobs, in batch order. Every band of a
+/// multi-band image is a job of its own, queued in chain order; runs of
+/// single-band images are grouped, each job taking at most a `width`-th
+/// of the batch's single-band images. Returns the jobs and, in the same
+/// order, where each job will send its pieces.
+fn band_jobs(samples: &[TrainSample], width: usize) -> (Vec<BandJob>, Vec<Pieces>) {
+    let images: Vec<Arc<Image>> = samples
+        .iter()
+        .flat_map(|s| (0..s.image_resolutions.len()).map(|i| Arc::new(Image::new(s, i))))
+        .collect();
+    let singles = images.iter().filter(|image| image.bands() == 1).count();
+    let per_group = singles.div_ceil(width).max(1);
+    let mut planned: Vec<Vec<BandTask>> = Vec::new();
+    let mut group = Vec::new();
+    for image in images {
+        let bands = image.bands();
+        if bands == 1 {
+            group.push(BandTask { image, band: 0, enter: None, leave: None });
+            if group.len() == per_group {
+                planned.push(std::mem::take(&mut group));
+            }
+            continue;
+        }
+        if !group.is_empty() {
+            planned.push(std::mem::take(&mut group));
+        }
+        let mut enter = None;
+        for band in 0..bands {
+            let (leave, next) = if band + 1 < bands {
+                let (tx, rx) = mpsc::sync_channel(1);
+                (Some(tx), Some(rx))
+            } else {
+                (None, None)
+            };
+            let enter = std::mem::replace(&mut enter, next);
+            planned.push(vec![BandTask { image: image.clone(), band, enter, leave }]);
+        }
+    }
+    if !group.is_empty() {
+        planned.push(group);
+    }
+    planned
+        .into_iter()
+        .map(|tasks| {
+            let (done, pieces) = mpsc::sync_channel(1);
+            (BandJob { tasks, done }, pieces)
+        })
+        .unzip()
+}
+
+/// Wait for every job's pieces, in batch order: their concatenation is
+/// the batch's token bytes. `None` when a job died without answering (a
+/// decode panic, here or earlier in its chain).
+fn collect_bands(pending: Vec<Pieces>) -> Option<Vec<Vec<u8>>> {
+    let mut chunks = Vec::new();
+    for pieces in pending {
+        chunks.extend(pieces.recv().ok()?);
+    }
+    Some(chunks)
 }
 
 /// The plane's decode threads: one shared job queue served by a fixed
@@ -493,7 +601,8 @@ fn decode_chunk(samples: &[TrainSample]) -> Vec<Vec<u8>> {
 #[derive(Debug)]
 struct DecodePool {
     jobs: Sender<DecodeJob>,
-    /// Most chunks one batch is split into (the pool's thread count).
+    /// The pool's thread count: a batch's single-band images are grouped
+    /// into jobs of at most a `width`-th of them.
     width: usize,
 }
 
@@ -528,37 +637,20 @@ impl DecodePool {
         Ok((Arc::new(DecodePool { jobs, width: workers as usize }), threads))
     }
 
-    /// Decode `samples`, byte-identical to [`preprocess_sample`] on each
-    /// and in input order. The batch splits into at most `width` chunks;
-    /// all but the first go to the pool, and the calling thread decodes
-    /// the first meanwhile, so a one-sample batch never crosses threads.
-    /// The samples come back with their token bytes. `None` when a pool
-    /// job died without answering (a decode panic).
-    fn decode(&self, samples: Vec<TrainSample>) -> Option<(Vec<TrainSample>, Vec<Vec<u8>>)> {
-        let chunk = samples.len().div_ceil(self.width).max(1);
-        let mut rest = samples.into_iter();
-        let mut samples: Vec<TrainSample> = rest.by_ref().take(chunk).collect();
-        let mut pending = Vec::new();
-        loop {
-            let part: Vec<TrainSample> = rest.by_ref().take(chunk).collect();
-            if part.is_empty() {
-                break;
-            }
-            let (tx, rx) = mpsc::sync_channel(1);
-            let job: DecodeJob = Box::new(move || {
-                let tokens = decode_chunk(&part);
-                let _ = tx.send((part, tokens));
-            });
-            self.jobs.send(job).ok()?;
-            pending.push(rx);
+    /// Decode `samples` on the pool: the batch's bands are queued in order
+    /// ([`band_jobs`]) and the calling thread waits for their pieces. The
+    /// queue is FIFO, so a band only ever waits for the carry of a band
+    /// dequeued before it, and one giant image spreads over every decode
+    /// thread. Returns one chunk per band, in batch order; their
+    /// concatenation is byte-identical to [`preprocess_sample`] on each
+    /// sample in turn. `None` when a pool job died without answering (a
+    /// decode panic).
+    fn decode(&self, samples: &[TrainSample]) -> Option<Vec<Vec<u8>>> {
+        let (jobs, pending) = band_jobs(samples, self.width);
+        for job in jobs {
+            self.jobs.send(Box::new(move || job.run())).ok()?;
         }
-        let mut tokens = decode_chunk(&samples);
-        for rx in pending {
-            let (part, part_tokens) = rx.recv().ok()?;
-            samples.extend(part);
-            tokens.extend(part_tokens);
-        }
-        Some((samples, tokens))
+        collect_bands(pending)
     }
 }
 
@@ -626,7 +718,7 @@ fn generator_loop(ctx: GeneratorCtx) {
                 .observe_traced(started.elapsed().as_secs_f64(), trace_id)
         });
         let decode_started = Instant::now();
-        let Some((samples, chunks)) = ctx.pool.decode(samples) else {
+        let Some(chunks) = ctx.pool.decode(&samples) else {
             // A decode job panicked (the pool marked the plane): this
             // session's stream cannot continue.
             ctx.flight.record("panic", trace_id, || "decode job panicked".into());
@@ -652,7 +744,7 @@ fn generator_loop(ctx: GeneratorCtx) {
             format!("generated x{count} in {} us", started.elapsed().as_micros())
         });
         let header = BatchHeader {
-            token_lens: chunks.iter().map(|t| t.len() as u64).collect(),
+            token_lens: samples.iter().map(|s| token_len(s) as u64).collect(),
             samples,
             producer_cpu_ns: started.elapsed().as_nanos() as u64,
         };
@@ -1259,20 +1351,73 @@ mod tests {
         }
     }
 
+    /// Every sample's token bytes, serially, concatenated.
+    fn serial_tokens(samples: &[TrainSample]) -> Vec<u8> {
+        samples.iter().flat_map(|s| preprocess_sample(s).token_bytes).collect()
+    }
+
     #[test]
     fn decode_pool_matches_serial_in_order() {
         let stats = Arc::new(PlaneStats::default());
         let (pool, threads) = DecodePool::spawn(3, &stats).unwrap();
-        let samples = SyntheticLaion::new(tiny_data(), 9).take(7);
-        let (back, tokens) = pool.decode(samples.clone()).unwrap();
-        assert_eq!(back, samples, "samples must come back in input order");
-        let serial: Vec<Vec<u8>> =
-            samples.iter().map(|s| preprocess_sample(s).token_bytes).collect();
-        assert_eq!(tokens, serial);
+        let mut samples = SyntheticLaion::new(tiny_data(), 9).take(7);
+        // Single-band runs on both sides of a six-band image.
+        samples.insert(1, multi_band_sample());
+        let chunks = pool.decode(&samples).unwrap();
+        assert_eq!(chunks.concat(), serial_tokens(&samples), "bands must come back in batch order");
         drop(pool);
         for t in threads {
             t.join().unwrap();
         }
+    }
+
+    /// One 512² image at patch 16: six bands, the last one short.
+    fn multi_band_sample() -> TrainSample {
+        let mut sample = SyntheticLaion::new(tiny_data(), 3).sample();
+        sample.image_resolutions = vec![512];
+        sample.patch = 16;
+        sample
+    }
+
+    #[test]
+    fn one_giant_sample_decodes_on_every_pool_width() {
+        let samples = [multi_band_sample()];
+        assert_eq!(Image::new(&samples[0], 0).bands(), 6);
+        let serial = serial_tokens(&samples);
+        for workers in 1..=3 {
+            let stats = Arc::new(PlaneStats::default());
+            let (pool, threads) = DecodePool::spawn(workers, &stats).unwrap();
+            let (jobs, _) = band_jobs(&samples, pool.width);
+            assert_eq!(jobs.len(), 6, "every band is a job of its own");
+            let chunks = pool.decode(&samples).unwrap();
+            assert!(chunks.concat() == serial, "{workers}-thread pool differs from serial");
+            drop(pool);
+            for t in threads {
+                t.join().unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn panicking_band_fails_the_batch_without_hanging() {
+        let mut handle = Preprocess::builder(tiny_data(), 12).workers(2).spawn().unwrap();
+        let pool = handle.pool.clone().unwrap();
+        let (jobs, pending) = band_jobs(&[multi_band_sample()], pool.width);
+        // The queueing of `DecodePool::decode`, with band 2 of 6 failing.
+        for (band, job) in jobs.into_iter().enumerate() {
+            let run: DecodeJob = if band == 2 {
+                Box::new(move || {
+                    let _links = job;
+                    panic!("band failure")
+                })
+            } else {
+                Box::new(move || job.run())
+            };
+            pool.jobs.send(run).unwrap();
+        }
+        assert!(collect_bands(pending).is_none(), "a dead band must fail the batch");
+        drop(pool);
+        assert!(!handle.shutdown(), "a panicked band must fail shutdown");
     }
 
     #[test]

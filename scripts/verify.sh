@@ -206,6 +206,14 @@ bash perfbench/run.sh --workload data-fanin --seed 1 --seconds 3 --trace 0 \
     > "$VERIFY_TMP/perfbench.log" 2>&1 \
     || { echo "perfbench data-fanin failed" >&2; cat "$VERIFY_TMP/perfbench.log" >&2; exit 1; }
 
+echo "==> perfbench data-skew65k smoke (full 2048² images through the banded decode pool)"
+# One 2048² image (65,536 tokens, 86 bands) per batch, its bands spread
+# over the decode pool; perfbench's output checks (in-order ids, 3·res²
+# token bytes per image, clean shutdown) must all pass.
+bash perfbench/run.sh --workload data-skew65k --seed 1 --seconds 3 --trace 0 \
+    > "$VERIFY_TMP/perfbench-skew.log" 2>&1 \
+    || { echo "perfbench data-skew65k failed" >&2; cat "$VERIFY_TMP/perfbench-skew.log" >&2; exit 1; }
+
 echo "==> repro --metrics smoke (Prometheus exposition + JSON archive)"
 ./target/release/repro zoo --metrics "$VERIFY_TMP/metrics.prom" > /dev/null
 test -s "$VERIFY_TMP/metrics.prom" || { echo "metrics.prom missing or empty" >&2; exit 1; }
